@@ -195,6 +195,7 @@ func (d AsyncDistributed) SolveDetailed(g game.Game) (*Result, *SimReport, error
 		LoopPositions: loops,
 		Loop:          loopBits,
 		Workers:       stats,
+		Kernel:        KernelScalar.String(),
 		Sim:           report,
 	}
 	return result, report, nil

@@ -14,18 +14,22 @@ import (
 
 // The paper's large runs took tens of hours; production database builds
 // need to survive restarts. A checkpoint captures a worker's complete
-// mid-analysis state between waves; Resumable wraps the sequential engine
-// with periodic checkpoints and resume-from-file.
+// mid-analysis state between waves; package remote persists one per mesh
+// node at wave entry and resumes a killed solve from them.
 
 const (
 	checkpointMagic   = "RACP"
 	checkpointVersion = 1
+	// maxCheckpointWorkers bounds the worker count a checkpoint header
+	// may claim: a restored worker sizes per-owner tables by it.
+	maxCheckpointWorkers = 1 << 16
 )
 
 var crcTab = crc64.MakeTable(crc64.ECMA)
 
-// ErrPaused is returned by Resumable.Solve when it stops early because
-// StopAfterWaves was reached; the checkpoint on disk continues the run.
+// ErrPaused is returned by the out-of-core engine when it stops early
+// because its StopAfterWaves budget was reached (see internal/oocore);
+// the spill store on disk continues the run.
 var ErrPaused = errors.New("ra: analysis paused at a checkpoint")
 
 // WriteCheckpoint serialises the worker's full state plus the caller's
@@ -111,6 +115,12 @@ func ReadCheckpoint(g game.Game, in io.Reader) (w *Worker, waves int, err error)
 	if size != g.Size() {
 		return nil, 0, fmt.Errorf("ra: checkpoint is for a %d-position game, got %d", size, g.Size())
 	}
+	if workers > maxCheckpointWorkers {
+		return nil, 0, fmt.Errorf("ra: checkpoint claims %d workers, more than %d", workers, maxCheckpointWorkers)
+	}
+	if me < 0 || me >= workers {
+		return nil, 0, fmt.Errorf("ra: checkpoint worker %d out of range [0, %d)", me, workers)
+	}
 	part, err := NewPartition(size, workers, group)
 	if err != nil {
 		return nil, 0, err
@@ -164,89 +174,6 @@ func ReadCheckpoint(g game.Game, in io.Reader) (w *Worker, waves int, err error)
 		return nil, 0, fmt.Errorf("ra: checkpoint checksum mismatch")
 	}
 	return w, waves, nil
-}
-
-// Resumable is a sequential engine with periodic checkpoints: if Path
-// exists, Solve resumes from it; otherwise it starts fresh. A checkpoint
-// is (re)written every Every waves. With StopAfterWaves > 0 the engine
-// checkpoints and returns ErrPaused after that many additional waves —
-// useful for budgeted runs and crash-recovery testing.
-type Resumable struct {
-	Path           string
-	Every          int // waves between checkpoints; 0 means 16
-	StopAfterWaves int // 0 = run to completion
-}
-
-// Name implements Engine.
-func (e Resumable) Name() string { return fmt.Sprintf("resumable(%s)", e.Path) }
-
-func (e Resumable) every() int {
-	if e.Every > 0 {
-		return e.Every
-	}
-	return 16
-}
-
-// Solve implements Engine.
-func (e Resumable) Solve(g game.Game) (*Result, error) {
-	if e.Path == "" {
-		return nil, errors.New("ra: Resumable needs a checkpoint path")
-	}
-	var w *Worker
-	waves := 0
-	if f, err := os.Open(e.Path); err == nil {
-		br := bufio.NewReader(f)
-		w, waves, err = ReadCheckpoint(g, br)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("ra: resuming from %s: %w", e.Path, err)
-		}
-	} else if os.IsNotExist(err) {
-		part := Cyclic(g.Size(), 1)
-		w = NewWorker(g, part, 0)
-		if _, err := w.Init(); err != nil {
-			return nil, err
-		}
-	} else {
-		return nil, err
-	}
-
-	ranThisCall := 0
-	for w.BeginWave() > 0 {
-		waves++
-		ranThisCall++
-		w.ExpandLocal(0, w.Apply, nil)
-		if waves%e.every() == 0 {
-			if err := e.writeCheckpoint(w, waves); err != nil {
-				return nil, err
-			}
-		}
-		if e.StopAfterWaves > 0 && ranThisCall >= e.StopAfterWaves {
-			if err := e.writeCheckpoint(w, waves); err != nil {
-				return nil, err
-			}
-			return nil, ErrPaused
-		}
-	}
-	loops := w.ResolveLoops()
-	values := make([]game.Value, g.Size())
-	w.Fill(values)
-	loopBits := make([]uint64, (g.Size()+63)/64)
-	w.FillLoop(loopBits)
-	return &Result{
-		Values:        values,
-		Waves:         waves,
-		LoopPositions: loops,
-		Loop:          loopBits,
-		Workers:       []WorkerStats{w.Stats},
-	}, nil
-}
-
-// writeCheckpoint writes atomically via a temporary file.
-func (e Resumable) writeCheckpoint(w *Worker, waves int) error {
-	return WriteFileAtomic(e.Path, func(out io.Writer) error {
-		return w.WriteCheckpoint(out, waves)
-	})
 }
 
 // WriteFileAtomic writes a file so that a crash at any point leaves

@@ -2,6 +2,7 @@ package ra
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
@@ -68,6 +69,33 @@ func TestCheckpointRejectsWrongGame(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsBadHeader corrupts the header fields that size
+// the restored worker: each must yield an error before a worker is built,
+// never a panic or an oversized allocation.
+func TestCheckpointRejectsBadHeader(t *testing.T) {
+	g := nim.MustNew(3, 4)
+	w := NewWorker(g, Cyclic(g.Size(), 1), 0)
+	w.Init()
+	var buf bytes.Buffer
+	if err := w.WriteCheckpoint(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		off   int
+		value uint32
+	}{
+		{"worker id past the worker count", 8, 7},
+		{"worker count too large", 12, 1 << 31},
+	} {
+		data := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint32(data[tc.off:], tc.value)
+		if _, _, err := ReadCheckpoint(g, bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
 func TestCheckpointDetectsCorruption(t *testing.T) {
 	g := nim.MustNew(2, 4)
 	part := Cyclic(g.Size(), 1)
@@ -81,53 +109,6 @@ func TestCheckpointDetectsCorruption(t *testing.T) {
 	data[len(data)/2] ^= 0x40
 	if _, _, err := ReadCheckpoint(g, bytes.NewReader(data)); err == nil {
 		t.Error("corrupted checkpoint was accepted")
-	}
-}
-
-// TestResumableCrashRecovery simulates a crash: the first invocation is
-// stopped after a few waves (ErrPaused, checkpoint on disk); a second
-// invocation resumes from the file and must produce the same database as
-// an uninterrupted run.
-func TestResumableCrashRecovery(t *testing.T) {
-	g := ttt.New()
-	want := SolveSequential(g)
-	path := filepath.Join(t.TempDir(), "ttt.racp")
-
-	paused := Resumable{Path: path, Every: 2, StopAfterWaves: 4}
-	if _, err := paused.Solve(g); !errors.Is(err, ErrPaused) {
-		t.Fatalf("first run returned %v, want ErrPaused", err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no checkpoint on disk: %v", err)
-	}
-
-	resumed := Resumable{Path: path, Every: 2}
-	got, err := resumed.Solve(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Waves != want.Waves {
-		t.Errorf("waves = %d, want %d", got.Waves, want.Waves)
-	}
-	for idx := range want.Values {
-		if got.Values[idx] != want.Values[idx] {
-			t.Fatalf("resumed run differs at %d", idx)
-		}
-	}
-}
-
-func TestResumableFreshRun(t *testing.T) {
-	g := nim.MustNew(3, 3)
-	want := SolveSequential(g)
-	path := filepath.Join(t.TempDir(), "nim.racp")
-	got, err := Resumable{Path: path}.Solve(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for idx := range want.Values {
-		if got.Values[idx] != want.Values[idx] {
-			t.Fatalf("resumable fresh run differs at %d", idx)
-		}
 	}
 }
 
@@ -176,44 +157,21 @@ func TestAtomicWriteNeverReplacesValidCheckpoint(t *testing.T) {
 		t.Fatalf("prior checkpoint no longer readable: %v", err)
 	}
 
-	// A crash that leaves a partial .tmp behind must not disturb resume.
+	// A crash that leaves a partial .tmp behind must not disturb the next
+	// checkpoint write.
 	if err := os.WriteFile(path+".tmp", valid[:8], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Resumable{Path: path}).Solve(g); err != nil {
-		t.Fatalf("resume with stale .tmp residue failed: %v", err)
+	if err := WriteFileAtomic(path, func(out io.Writer) error {
+		return w.WriteCheckpoint(out, 1)
+	}); err != nil {
+		t.Fatalf("write over stale .tmp residue failed: %v", err)
 	}
-}
-
-func TestResumableNeedsPath(t *testing.T) {
-	if _, err := (Resumable{}).Solve(nim.MustNew(1, 2)); err == nil {
-		t.Error("Resumable without a path succeeded")
+	after, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestResumableRepeatedPauses(t *testing.T) {
-	g := ttt.New()
-	want := SolveSequential(g)
-	path := filepath.Join(t.TempDir(), "ttt.racp")
-	// Pause every 2 waves until done; each call resumes the previous.
-	var got *Result
-	for i := 0; i < 100; i++ {
-		r, err := (Resumable{Path: path, StopAfterWaves: 2}).Solve(g)
-		if errors.Is(err, ErrPaused) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = r
-		break
-	}
-	if got == nil {
-		t.Fatal("run never completed")
-	}
-	for idx := range want.Values {
-		if got.Values[idx] != want.Values[idx] {
-			t.Fatalf("paused/resumed run differs at %d", idx)
-		}
+	if _, waves, err := ReadCheckpoint(g, bytes.NewReader(after)); err != nil || waves != 1 {
+		t.Fatalf("checkpoint written over .tmp residue: waves %d, err %v", waves, err)
 	}
 }

@@ -1,6 +1,7 @@
 package ra
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,11 +10,12 @@ import (
 	"retrograde/internal/game"
 )
 
-// Concurrent is the shared-memory parallel engine: one goroutine per
-// shard, update batches carried over channels. It mirrors the distributed
-// algorithm (same waves, same combining) but with the host's real cores,
-// so it both validates the distributed engine and gives genuine wall-clock
-// speedups for building real databases.
+// Concurrent is the shared-memory parallel engine: the wave driver (see
+// Drive) on one goroutine per shard for the whole solve, with update
+// batches carried over channels. It mirrors the distributed algorithm
+// (same waves, same combining) but with the host's real cores, so it both
+// validates the distributed engine and gives genuine wall-clock speedups
+// for building real databases.
 //
 // The hot path is allocation-free in steady state: batch backing arrays
 // are recycled between receiver and sender through a shared pool, and
@@ -60,10 +62,6 @@ func (c Concurrent) group() uint64 {
 	return 1
 }
 
-// expandChunk is how many queue positions a worker expands between inbox
-// drains, so incoming batches are consumed while expansion is in flight.
-const expandChunk = 512
-
 // waveMsg is one message on a worker's inbox: a batch of updates (scalar
 // kernel), a batch of run-encoded updates (SWAR kernel), or the
 // end-of-wave signal from one sender. The explicit done flag (rather than
@@ -75,11 +73,10 @@ type waveMsg struct {
 	done  bool
 }
 
-// waveWorker is one shard's transport state in the Concurrent engine:
-// the worker itself plus the combining buffer, inbox and batch pool it
-// shares with its peers. All fields are touched only by the single
-// goroutine driving the shard during a wave; wave boundaries are
-// WaitGroup barriers.
+// waveWorker is one shard's Transport in the Concurrent engine: the
+// worker itself plus the combining buffer, inbox and batch pool it shares
+// with its peers. All fields are touched only by the goroutine driving
+// the shard.
 type waveWorker struct {
 	me    int
 	p     int
@@ -91,13 +88,11 @@ type waveWorker struct {
 	rbuf  *combine.Buffer[UpdateRun] // run transport (SWAR kernel only)
 	cap   int                        // batch capacity
 
-	applyFn  func(Update)                 // bound w.Apply, allocated once
-	addFn    func(owner int, u Update)    // bound buf.Add, allocated once
-	addRunFn func(owner int, r UpdateRun) // bound rbuf.Add (SWAR)
-	done     int                          // end-of-wave signals seen this wave
+	bar  *barrier
+	done int // peers' end-of-wave signals seen this wave
 }
 
-func newWaveWorker(w *Worker, inbox []chan waveMsg, free chan []Update, rfree chan []UpdateRun, batch int) *waveWorker {
+func newWaveWorker(w *Worker, inbox []chan waveMsg, free chan []Update, rfree chan []UpdateRun, batch int, bar *barrier) *waveWorker {
 	ww := &waveWorker{
 		me:    w.ID(),
 		p:     len(inbox),
@@ -106,20 +101,18 @@ func newWaveWorker(w *Worker, inbox []chan waveMsg, free chan []Update, rfree ch
 		free:  free,
 		rfree: rfree,
 		cap:   batch,
+		bar:   bar,
 	}
 	if w.Kernel() == KernelSWAR {
 		ww.rbuf = combine.MustNew(ww.p, batch, func(dst int, b []UpdateRun) {
 			ww.post(dst, waveMsg{runs: b})
 		})
 		ww.rbuf.SetAlloc(ww.allocRuns)
-		ww.addRunFn = ww.rbuf.Add
 	} else {
 		ww.buf = combine.MustNew(ww.p, batch, func(dst int, b []Update) {
 			ww.post(dst, waveMsg{batch: b})
 		})
 		ww.buf.SetAlloc(ww.alloc)
-		ww.applyFn = w.Apply
-		ww.addFn = ww.buf.Add
 	}
 	return ww
 }
@@ -195,8 +188,15 @@ func (ww *waveWorker) post(dst int, m waveMsg) {
 	}
 }
 
-// drain consumes every message currently queued on our inbox.
-func (ww *waveWorker) drain() {
+// Send implements Transport.
+func (ww *waveWorker) Send(owner int, u Update) { ww.buf.Add(owner, u) }
+
+// SendRun implements Transport.
+func (ww *waveWorker) SendRun(owner int, r UpdateRun) { ww.rbuf.Add(owner, r) }
+
+// Poll implements Transport: it consumes every message currently queued
+// on our inbox.
+func (ww *waveWorker) Poll() {
 	for {
 		select {
 		case m := <-ww.inbox[ww.me]:
@@ -207,42 +207,78 @@ func (ww *waveWorker) drain() {
 	}
 }
 
-// wave runs this shard's part of one propagation wave: expand the wave
-// queue in chunks (self-owned updates applied inline, remote ones routed
-// through the pooled combining buffer), drain the inbox between chunks,
-// then flush, signal end-of-wave to every peer, and consume the inbox
-// until all peers have signalled.
-func (ww *waveWorker) wave() {
-	ww.done = 0
+// EndWave implements Transport: flush, signal end-of-wave to every peer,
+// and consume the inbox until all peers have signalled. No peer sends
+// next-wave traffic before the next barrier, so the count restarts here.
+func (ww *waveWorker) EndWave() error {
 	if ww.rbuf != nil {
-		for {
-			k := ww.w.ExpandRuns(expandChunk, ww.addRunFn)
-			if k == 0 {
-				break
-			}
-			ww.drain()
-		}
 		ww.rbuf.FlushAll()
 	} else {
-		for {
-			k := ww.w.ExpandLocal(expandChunk, ww.applyFn, ww.addFn)
-			if k == 0 {
-				break
-			}
-			ww.drain()
-		}
 		ww.buf.FlushAll()
 	}
 	for dst := 0; dst < ww.p; dst++ {
-		if dst == ww.me {
-			ww.done++
-			continue
+		if dst != ww.me {
+			ww.post(dst, waveMsg{done: true})
 		}
-		ww.post(dst, waveMsg{done: true})
 	}
-	for ww.done < ww.p {
+	for ww.done < ww.p-1 {
 		ww.apply(<-ww.inbox[ww.me])
 	}
+	ww.done = 0
+	return nil
+}
+
+// Barrier implements Transport.
+func (ww *waveWorker) Barrier(count int) (bool, error) { return ww.bar.wait(count) }
+
+// errAborted is what a barrier returns once a shard has failed.
+var errAborted = errors.New("ra: solve aborted by a failed shard")
+
+// barrier is the Concurrent engine's rendezvous between waves: a
+// generation-counted barrier over all shards that ORs their counts.
+type barrier struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	parties int
+	arrived int
+	any     bool // OR of this round's counts so far
+	result  bool // outcome of the last completed round
+	gen     uint64
+	aborted bool
+}
+
+func newBarrier(parties int) *barrier {
+	b := &barrier{parties: parties}
+	b.cond.L = &b.mu
+	return b
+}
+
+func (b *barrier) wait(count int) (bool, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.any = b.any || count > 0
+	if b.arrived++; b.arrived == b.parties {
+		b.result, b.any, b.arrived = b.any, false, 0
+		b.gen++
+		b.cond.Broadcast()
+		return b.result, nil
+	}
+	// A waiter's round cannot be overtaken: the next one needs it too.
+	for gen := b.gen; gen == b.gen && !b.aborted; {
+		b.cond.Wait()
+	}
+	if b.aborted {
+		return false, errAborted
+	}
+	return b.result, nil
+}
+
+// abort releases every shard waiting at the barrier, now and later.
+func (b *barrier) abort() {
+	b.mu.Lock()
+	b.aborted = true
+	b.mu.Unlock()
+	b.cond.Broadcast()
 }
 
 // Solve implements Engine.
@@ -270,89 +306,25 @@ func (c Concurrent) Solve(g game.Game) (*Result, error) {
 	// Only the pool matching the resolved kernel ever circulates arrays.
 	free := make(chan []Update, 5*p*p+p)
 	rfree := make(chan []UpdateRun, 5*p*p+p)
-	wws := make([]*waveWorker, p)
-	for i, w := range workers {
-		wws[i] = newWaveWorker(w, inbox, free, rfree, c.batch())
-	}
-
-	// Phase 1: initialisation, embarrassingly parallel.
+	bar := newBarrier(p)
+	waves := make([]int, p)
+	errs := make([]error, p)
 	var wg sync.WaitGroup
-	initErrs := make([]error, p)
 	for i, w := range workers {
+		ww := newWaveWorker(w, inbox, free, rfree, c.batch(), bar)
 		wg.Add(1)
-		go func(i int, w *Worker) {
+		go func() {
 			defer wg.Done()
-			_, initErrs[i] = w.Init()
-		}(i, w)
+			if waves[i], errs[i] = Drive(w, ww, 0, false); errs[i] != nil {
+				bar.abort()
+			}
+		}()
 	}
 	wg.Wait()
-	for _, e := range initErrs {
-		if e != nil {
-			return nil, e
+	for _, err := range errs {
+		if err != nil && !errors.Is(err, errAborted) {
+			return nil, err
 		}
 	}
-
-	// Phase 2: wave-synchronous propagation. Each wave, every shard runs
-	// one goroutine that interleaves expansion with draining its inbox
-	// and finishes when every peer's end-of-wave signal has arrived. A
-	// barrier separates waves.
-	waves := 0
-	for {
-		total := 0
-		for _, w := range workers {
-			total += w.BeginWave()
-		}
-		if total == 0 {
-			break
-		}
-		waves++
-		for _, ww := range wws {
-			wg.Add(1)
-			go func(ww *waveWorker) {
-				defer wg.Done()
-				ww.wave()
-			}(ww)
-		}
-		wg.Wait()
-	}
-
-	// Phase 3: loop resolution, embarrassingly parallel.
-	var loops uint64
-	var mu sync.Mutex
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *Worker) {
-			defer wg.Done()
-			n := w.ResolveLoops()
-			mu.Lock()
-			loops += n
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-
-	values := make([]game.Value, g.Size())
-	loopBits := make([]uint64, (g.Size()+63)/64)
-	stats := make([]WorkerStats, p)
-	for i, w := range workers {
-		wg.Add(1)
-		go func(i int, w *Worker) {
-			defer wg.Done()
-			w.Fill(values)
-			stats[i] = w.Stats
-		}(i, w)
-	}
-	wg.Wait()
-	// Loop bitsets write shared words; fill sequentially.
-	for _, w := range workers {
-		w.FillLoop(loopBits)
-	}
-	return &Result{
-		Values:        values,
-		Waves:         waves,
-		LoopPositions: loops,
-		Loop:          loopBits,
-		Workers:       stats,
-		Kernel:        workers[0].Kernel().String(),
-	}, nil
+	return Assemble(g, workers, waves[0]), nil
 }

@@ -322,6 +322,7 @@ func (d Distributed) SolveDetailed(g game.Game) (*Result, *SimReport, error) {
 		LoopPositions: loops,
 		Loop:          loopBits,
 		Workers:       stats,
+		Kernel:        KernelScalar.String(),
 		Sim:           report,
 	}
 	return result, report, nil

@@ -2,8 +2,10 @@ package ra
 
 import "retrograde/internal/game"
 
-// Engine solves a game by retrograde analysis. The three implementations
-// (Sequential, Concurrent, Distributed) compute bit-identical results.
+// Engine solves a game by retrograde analysis. Every implementation —
+// Sequential, Concurrent, Distributed, AsyncDistributed, the TCP mesh in
+// package remote and the out-of-core engine in package oocore — computes
+// bit-identical results.
 type Engine interface {
 	// Name identifies the engine configuration for reports.
 	Name() string

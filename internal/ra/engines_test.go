@@ -1,8 +1,7 @@
 package ra
 
 import (
-	"os"
-	"path/filepath"
+	"errors"
 	"testing"
 
 	"retrograde/internal/chess"
@@ -45,29 +44,6 @@ func oracleGames() []game.Game {
 		nim.MustNew(2, 7),
 		ttt.New(),
 		chess.MustNew(4),
-	}
-}
-
-// TestConcurrentMatchesSequential runs the shared-memory engine across
-// worker counts, batch sizes and partition shapes and requires
-// bit-identical databases.
-func TestConcurrentMatchesSequential(t *testing.T) {
-	for _, g := range oracleGames() {
-		want := SolveSequential(g)
-		for _, cfg := range []Concurrent{
-			{Workers: 1},
-			{Workers: 2},
-			{Workers: 3, Batch: 1},
-			{Workers: 4, Batch: 16},
-			{Workers: 7, Batch: 1000, Group: 64},
-			{Workers: 16},
-		} {
-			got, err := cfg.Solve(g)
-			if err != nil {
-				t.Fatalf("%s %s: %v", g.Name(), cfg.Name(), err)
-			}
-			sameResult(t, g.Name()+" "+cfg.Name(), want, got)
-		}
 	}
 }
 
@@ -212,8 +188,6 @@ func TestDistributedSingleNodeNoNetworkData(t *testing.T) {
 	}
 }
 
-func nimGameForCorruptTest() game.Game { return nim.MustNew(2, 3) }
-
 func TestEngineNames(t *testing.T) {
 	cases := []struct {
 		e    Engine
@@ -224,7 +198,6 @@ func TestEngineNames(t *testing.T) {
 		{Distributed{Workers: 16, Combine: 10}, "distributed(p=16,combine=10,net=ethernet)"},
 		{Distributed{Workers: 2, Network: CrossbarNet}, "distributed(p=2,combine=100,net=crossbar)"},
 		{AsyncDistributed{Workers: 3}, "async(p=3,combine=100)"},
-		{Resumable{Path: "x.racp"}, "resumable(x.racp)"},
 	}
 	for _, c := range cases {
 		if got := c.e.Name(); got != c.want {
@@ -239,14 +212,29 @@ func TestEngineNames(t *testing.T) {
 	}
 }
 
-func TestResumableRejectsCorruptCheckpoint(t *testing.T) {
-	g := nimGameForCorruptTest()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.racp")
-	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
+// TestSimulatedEnginesNameKernel: the simulated engines run scalar
+// workers and say so, like every other engine.
+func TestSimulatedEnginesNameKernel(t *testing.T) {
+	g := nim.MustNew(2, 5)
+	for _, e := range []Engine{Distributed{Workers: 2}, AsyncDistributed{Workers: 2}} {
+		r, err := e.Solve(g)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if r.Kernel != "scalar" {
+			t.Errorf("%s: kernel %q, want scalar", e.Name(), r.Kernel)
+		}
 	}
-	if _, err := (Resumable{Path: path}).Solve(g); err == nil {
-		t.Error("corrupt checkpoint accepted")
+}
+
+// TestConcurrentInitErrorUnwinds: a shard whose Init fails must release
+// its peers from the wave barrier, and Solve must return the shard's own
+// error rather than hang or report the abort.
+func TestConcurrentInitErrorUnwinds(t *testing.T) {
+	g := hugeBranch{n: int(MaxSuccessors) + 1}
+	_, err := Concurrent{Workers: 2}.Solve(g)
+	var ce *game.CounterOverflowError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want CounterOverflowError", err)
 	}
 }

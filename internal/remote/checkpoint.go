@@ -13,20 +13,24 @@ import (
 )
 
 // Distributed checkpointing rides on ra's per-worker checkpoint format:
-// each node serialises its own shard at the entry of a checkpoint wave —
-// the one moment its state is exactly "all waves < w complete, wave w
-// not started", before BeginWave and before stashed wave-w traffic is
-// applied — under a small mesh header (node count, wave, the
-// coordinator's productive-wave counter). Re-running wave w regenerates
-// every in-flight batch, so nothing on the wire needs saving.
+// each node serialises its own shard at the entry barrier of a
+// checkpoint wave — the one moment its state is exactly "all waves < w
+// complete, wave w not started", before BeginWave and before any held
+// wave-w traffic is applied — under a small mesh header (node count,
+// wave, the number of waves run before it). Re-running wave w
+// regenerates every in-flight batch, so nothing on the wire needs
+// saving.
 //
 // Nodes reach a checkpoint wave at slightly different times, and a crash
 // can land between one node's write and another's; each node therefore
-// keeps its previous checkpoint beside the newest. Because the
-// coordinator only starts wave w after every node finished wave w-1,
-// whenever any node has written wave w, all nodes have written the
-// checkpoint before it — so the newest wave present on every node is a
-// consistent global state, and resume picks exactly that.
+// keeps its previous checkpoint beside the newest. A node enters wave w
+// only after finishing wave w-1, which needs every peer's end-of-wave
+// sentinel, which every peer sends only after node 0 started wave w-1 —
+// that is, after every node passed w-1's entry barrier and wrote its
+// checkpoint there. So whenever any node has written wave w, all nodes
+// have written the checkpoint before it: the newest wave present on
+// every node is a consistent global state, and resume picks exactly
+// that.
 
 const (
 	meshCkptMagic   = "RMCP"
@@ -44,17 +48,19 @@ func (e Engine) ckptEvery() int {
 	return 8
 }
 
-// writeCheckpoint persists this node's state at the entry of wave (about
-// to run; waves counts the coordinator's productive waves so far), then
-// prunes everything older than the previous checkpoint.
-func (n *node) writeCheckpoint(wave int) error {
+// writeCheckpoint persists this node's state at the entry of its current
+// wave, then prunes everything older than the previous checkpoint.
+func (n *node) writeCheckpoint() error {
+	wave := n.wave
 	path := filepath.Join(n.ckptDir, ckptName(wave, n.id))
 	err := ra.WriteFileAtomic(path, func(out io.Writer) error {
 		head := make([]byte, 0, 32)
 		head = append(head, meshCkptMagic...)
 		head = binary.LittleEndian.AppendUint32(head, meshCkptVersion)
 		head = binary.LittleEndian.AppendUint32(head, uint32(n.peers+1))
-		head = binary.LittleEndian.AppendUint64(head, uint64(n.waves))
+		// Every wave before this one expanded something: the driver's
+		// wave count at its entry.
+		head = binary.LittleEndian.AppendUint64(head, uint64(wave-1))
 		if _, err := out.Write(head); err != nil {
 			return err
 		}
@@ -89,7 +95,7 @@ func listCheckpoints(dir string, node int) map[int]bool {
 // resumeState is a consistent global checkpoint loaded from disk.
 type resumeState struct {
 	wave    int // the wave to (re-)run first
-	waves   int // coordinator's productive-wave counter at that point
+	waves   int // waves run before it
 	workers []*ra.Worker
 }
 

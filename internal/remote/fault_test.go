@@ -1,8 +1,10 @@
 package remote
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -231,5 +233,51 @@ func TestCheckpointingFreshRunUnchanged(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "ckpt-*")); len(left) != 0 {
 		t.Errorf("successful solve left checkpoints behind: %v", left)
+	}
+}
+
+// TestSolveRejectsCorruptNodeCheckpoint seeds a checkpoint directory with
+// one consistent wave for every node, corrupts one node's file, and
+// requires Solve to fail with an error: never a panic, and never a silent
+// fresh start over a multi-hour run's state.
+func TestSolveRejectsCorruptNodeCheckpoint(t *testing.T) {
+	g := ttt.New()
+	const p = 3
+	part := ra.Cyclic(g.Size(), p)
+	const racp = 20 // the RACP body follows the mesh header
+	for _, tc := range []struct {
+		name    string
+		corrupt func([]byte)
+	}{
+		{"worker id out of range", func(b []byte) { binary.LittleEndian.PutUint32(b[racp+8:], 7) }},
+		{"worker count too large", func(b []byte) { binary.LittleEndian.PutUint32(b[racp+12:], 1<<31) }},
+		{"body bit flip", func(b []byte) { b[len(b)/2] ^= 0x40 }},
+		{"truncated", func(b []byte) { clear(b[racp:]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for i := 0; i < p; i++ {
+				w := ra.NewWorker(g, part, i)
+				if _, err := w.Init(); err != nil {
+					t.Fatal(err)
+				}
+				n := &node{id: i, w: w, peers: p - 1, wave: 1, ckptDir: dir, ckptEvery: 1}
+				if err := n.writeCheckpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			path := filepath.Join(dir, ckptName(1, 1))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(data)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := solveWatchdog(t, Engine{Workers: p, CheckpointDir: dir}, g, 20*time.Second); err == nil {
+				t.Fatal("solve resumed from a corrupt checkpoint")
+			}
+		})
 	}
 }

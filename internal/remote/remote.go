@@ -5,12 +5,15 @@
 // full mesh of sockets, with message combining batching updates per
 // destination — the algorithm as one would actually ship it.
 //
-// The engine runs its nodes as goroutines inside one process connected
-// over loopback (the wire protocol is process-agnostic; nothing but the
-// bootstrap assumes shared memory). TCP guarantees ordering only per
-// connection, so the wave barrier uses end-of-wave sentinels: a node has
-// seen every wave-w batch once the sentinel of every peer has arrived on
-// its connection, at which point it reports done to the coordinator.
+// Each node runs ra's wave driver (ra.Drive) with itself as the
+// transport. The engine runs its nodes as goroutines inside one process
+// connected over loopback (the wire protocol is process-agnostic; nothing
+// but the bootstrap assumes shared memory). TCP guarantees ordering only
+// per connection, so a wave's exchange ends with sentinels: a node has
+// seen every wave-w batch once the end-of-wave sentinel of every peer has
+// arrived on its connection. Between waves, every node reports its
+// frontier to node 0 in a done frame, and node 0 folds the reports into
+// the go frame that starts the next phase.
 package remote
 
 import (
@@ -34,13 +37,13 @@ import (
 const (
 	frameBatch     byte = iota + 1 // combined updates
 	frameEOW                       // end-of-wave sentinel (per peer connection)
-	frameDone                      // phase completion report to the coordinator
-	frameGo                        // coordinator starts the next phase
+	frameDone                      // a node's count at the barrier, sent to node 0
+	frameGo                        // node 0 starts the next phase
 	frameHeartbeat                 // keep-alive so idle healthy conns never trip the deadline
 	frameBye                       // orderly shutdown notice; EOF without it means a crash
 )
 
-// Phases, mirroring the simulated engine's protocol.
+// Phases a go frame starts.
 const (
 	phaseExpand byte = iota + 1
 	phaseLoops
@@ -216,20 +219,32 @@ func (e Engine) SolveDetailed(g game.Game) (*ra.Result, *Report, error) {
 	default:
 	}
 
+	workers := make([]*ra.Worker, p)
 	nodes := make([]*node, p)
+	wave, waves := 1, 0
+	if resume != nil {
+		wave, waves = resume.wave, resume.waves
+	}
+	for i := range nodes {
+		if resume != nil {
+			workers[i] = resume.workers[i]
+		} else {
+			workers[i] = ra.NewWorker(g, part, i)
+		}
+		nodes[i] = newNode(workers[i], e, conns[i], wave)
+	}
+	nodeWaves := make([]int, p)
 	errs := make(chan error, p)
 	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		nodes[i] = newNode(i, g, part, e, conns[i], resume)
-	}
-	for _, n := range nodes {
+	for i, n := range nodes {
 		wg.Add(1)
-		go func(n *node) {
+		go func() {
 			defer wg.Done()
-			if err := n.run(); err != nil {
+			var err error
+			if nodeWaves[i], err = n.run(waves, resume != nil); err != nil {
 				errs <- fmt.Errorf("remote: node %d: %w", n.id, err)
 			}
-		}(n)
+		}()
 	}
 	wg.Wait()
 	close(errs)
@@ -253,28 +268,13 @@ func (e Engine) SolveDetailed(g game.Game) (*ra.Result, *Report, error) {
 		clearCheckpoints(e.CheckpointDir)
 	}
 
-	values := make([]game.Value, g.Size())
-	loopBits := make([]uint64, (g.Size()+63)/64)
-	stats := make([]ra.WorkerStats, p)
-	var loops uint64
 	var rep Report
-	waves := nodes[0].waves
-	for i, n := range nodes {
-		n.w.Fill(values)
-		n.w.FillLoop(loopBits)
-		stats[i] = n.w.Stats
-		loops += n.w.Stats.LoopResolved
+	for _, n := range nodes {
 		rep.Frames += n.framesSent.Load()
 		rep.Bytes += n.bytesSent.Load()
 		rep.DataFrames += n.dataFrames
 	}
-	return &ra.Result{
-		Values:        values,
-		Waves:         waves,
-		LoopPositions: loops,
-		Loop:          loopBits,
-		Workers:       stats,
-	}, &rep, nil
+	return ra.Assemble(g, workers, nodeWaves[0]), &rep, nil
 }
 
 // event is a decoded frame plus its sender, serialized onto the node's
@@ -289,12 +289,10 @@ type event struct {
 	err     error
 }
 
-// pending holds traffic that arrived before its wave started on this node.
-type pending struct {
-	batches [][]ra.Update
-	eows    int
-}
-
+// node is one mesh member: its shard's worker, its connections, and the
+// ra.Transport the wave driver runs it through. Only the node's own
+// goroutine touches its fields, apart from the atomic counters and the
+// writer queues.
 type node struct {
 	id      int
 	w       *ra.Worker
@@ -308,55 +306,39 @@ type node struct {
 	hb        time.Duration
 	ckptDir   string
 	ckptEvery int
-	resumed   bool
-	startWave int // the wave whose completion the initial done reports
 
-	waveNow  int
-	curPhase byte // the phase this node is currently in
-	stash    map[int]*pending
-	eows     int  // end-of-wave sentinels seen for waveNow
-	expanded bool // this node finished its own expansion for waveNow
-	work     uint64
-	reported bool
-	finished bool
-	quit     chan struct{}
+	wave     int           // the wave being run, or entered at a barrier
+	phase    byte          // the phase of the last go frame; 0 before the first
+	exchange bool          // between a go(expand) frame and the end of its wave's exchange
+	eows     int           // end-of-wave sentinels seen for wave
+	held     [][]ra.Update // batches that arrived at the barrier, applied in EndWave
+	next     byte          // phase of a go frame received at the barrier
 
-	// Coordinator state (node 0 only).
-	phaseNow  byte
-	doneCount int
-	doneWork  uint64
-	waves     int
+	// Node 0 only: done reports received for the coming barrier.
+	dones    int
+	doneWork uint64
+
+	quit chan struct{}
 
 	// framesSent/bytesSent are atomic: the heartbeat goroutine sends
-	// concurrently with the run loop.
+	// concurrently with the node's goroutine.
 	framesSent, bytesSent atomic.Uint64
 	dataFrames            uint64
 }
 
-func newNode(id int, g game.Game, part *ra.Partition, e Engine, conns []net.Conn, resume *resumeState) *node {
+func newNode(w *ra.Worker, e Engine, conns []net.Conn, wave int) *node {
 	n := &node{
-		id:        id,
+		id:        w.ID(),
+		w:         w,
 		peers:     len(conns) - 1,
 		conns:     conns,
 		events:    make(chan event, 4*len(conns)),
-		stash:     map[int]*pending{},
 		quit:      make(chan struct{}),
 		timeout:   e.timeout(),
 		hb:        e.heartbeat(),
 		ckptDir:   e.CheckpointDir,
 		ckptEvery: e.ckptEvery(),
-	}
-	if resume != nil {
-		// The restored worker's state is "all waves before resume.wave
-		// complete"; the initial done therefore reports resume.wave-1 and
-		// the coordinator replays resume.wave.
-		n.w = resume.workers[id]
-		n.resumed = true
-		n.startWave = resume.wave - 1
-		n.waveNow = n.startWave
-		n.waves = resume.waves
-	} else {
-		n.w = ra.NewWorker(g, part, id)
+		wave:      wave,
 	}
 	n.writers = make([]*writer, len(conns))
 	for j, c := range conns {
@@ -364,22 +346,18 @@ func newNode(id int, g game.Game, part *ra.Partition, e Engine, conns []net.Conn
 			n.writers[j] = newWriter(c, n.timeout, n.peerFailed(j))
 		}
 	}
+	// The driver applies self-owned updates inline, so every batch here
+	// is bound for a peer.
 	n.buf = combine.MustNew(len(conns), e.batch(), func(dst int, b []ra.Update) {
-		if dst == id {
-			for _, u := range b {
-				n.w.Apply(u)
-			}
-			return
-		}
-		n.sendFrame(dst, encodeBatch(n.waveNow, b))
+		n.sendFrame(dst, encodeBatch(n.wave, b))
 		n.dataFrames++
 	})
 	return n
 }
 
 // peerFailed returns a callback delivering a peer-failure cause to the
-// run loop (which wraps it with its phase and wave); used by the reader
-// and writer goroutines of peer j's connection.
+// node's goroutine (which wraps it with its phase and wave); used by the
+// reader and writer goroutines of peer j's connection.
 func (n *node) peerFailed(j int) func(error) {
 	return func(cause error) {
 		select {
@@ -389,8 +367,9 @@ func (n *node) peerFailed(j int) func(error) {
 	}
 }
 
-// run is the node's main loop: read events until the finish phase.
-func (n *node) run() error {
+// run drives this node's shard to completion over the mesh and returns
+// the number of waves run.
+func (n *node) run(waves int, restored bool) (int, error) {
 	for j, c := range n.conns {
 		if c == nil {
 			continue
@@ -408,54 +387,120 @@ func (n *node) run() error {
 			}
 		}
 	}()
+	return ra.Drive(n.w, n, waves, restored)
+}
 
-	// Initialisation, then act as if a wave-startWave phase completed
-	// (wave 0 on a fresh start, the checkpointed wave on resume).
-	if !n.resumed {
-		if _, err := n.w.Init(); err != nil {
-			return err
-		}
-	}
-	n.phaseNow = 0
-	n.sendDone(n.startWave, 0)
+// Send implements ra.Transport.
+func (n *node) Send(owner int, u ra.Update) { n.buf.Add(owner, u) }
 
-	for !n.finished {
-		ev := <-n.events
-		if ev.err != nil {
-			return &NodeFailedError{Node: ev.from, Phase: phaseName(n.curPhase), Wave: n.waveNow, Err: ev.err}
-		}
-		switch ev.kind {
-		case frameBatch:
-			if ev.wave > n.waveNow {
-				n.pendingFor(ev.wave).batches = append(n.pendingFor(ev.wave).batches, ev.updates)
-				continue
-			}
-			n.applyBatch(ev.updates)
-		case frameEOW:
-			if ev.wave > n.waveNow {
-				n.pendingFor(ev.wave).eows++
-				continue
-			}
-			n.eows++
-			n.maybeReport()
-		case frameDone:
-			n.coordinatorDone(ev.wave, ev.work)
-		case frameGo:
-			if err := n.phase(ev.wave, ev.phase); err != nil {
-				return err
-			}
-		}
+// SendRun implements ra.Transport; mesh workers run the scalar kernel,
+// which never emits runs.
+func (n *node) SendRun(int, ra.UpdateRun) {
+	panic("remote: the mesh carries scalar updates only")
+}
+
+// Poll implements ra.Transport. Traffic waits on the event channel until
+// EndWave, which is where a node consumes it.
+func (n *node) Poll() {}
+
+// EndWave implements ra.Transport: flush, send the sentinels, apply the
+// batches that arrived before this node's wave began, then consume
+// traffic until every peer's sentinel is in. No peer sends next-wave
+// traffic before the next barrier, so the wave advances here.
+func (n *node) EndWave() error {
+	n.buf.FlushAll()
+	// All wave-w batches to each peer precede this marker on the shared
+	// per-pair connection.
+	n.broadcast(encodeCtl(frameEOW, n.wave, 0, 0))
+	for _, b := range n.held {
+		n.applyBatch(b)
 	}
+	n.held = nil
+	if err := n.await(func() bool { return n.eows == n.peers }); err != nil {
+		return err
+	}
+	n.exchange = false
+	n.eows = 0
+	n.wave++
 	return nil
 }
 
-func (n *node) pendingFor(wave int) *pending {
-	pd := n.stash[wave]
-	if pd == nil {
-		pd = &pending{}
-		n.stash[wave] = pd
+// Barrier implements ra.Transport. At a wave entry — the one checkpoint-
+// safe moment: earlier waves fully applied, this one not begun, and its
+// traffic regenerated by any re-run — the node first persists its shard
+// when due. Then every node reports count to node 0, which sums the
+// reports and answers with the next phase: another wave while any
+// frontier is left, then loop resolution, then finish.
+func (n *node) Barrier(count int) (bool, error) {
+	if n.phase != phaseLoops && n.ckptDir != "" && n.wave%n.ckptEvery == 0 {
+		if err := n.writeCheckpoint(); err != nil {
+			return false, err
+		}
 	}
-	return pd
+	var next byte
+	if n.id == 0 {
+		if err := n.await(func() bool { return n.dones == n.peers }); err != nil {
+			return false, err
+		}
+		switch {
+		case n.phase == phaseLoops:
+			next = phaseFinish
+		case n.doneWork > 0 || count > 0:
+			next = phaseExpand
+		default:
+			next = phaseLoops
+		}
+		n.dones, n.doneWork = 0, 0
+		n.broadcast(encodeCtl(frameGo, n.wave, next, 0))
+	} else {
+		n.sendFrame(0, encodeCtl(frameDone, n.wave, 0, uint64(count)))
+		if err := n.await(func() bool { return n.next != 0 }); err != nil {
+			return false, err
+		}
+		next, n.next = n.next, 0
+	}
+	n.phase = next
+	n.exchange = next == phaseExpand
+	if next == phaseFinish {
+		// Announce the orderly shutdown before sockets start closing, so
+		// peers can tell this EOF from a crash.
+		n.broadcast(encodeCtl(frameBye, n.wave, 0, 0))
+	}
+	return next == phaseExpand, nil
+}
+
+// await consumes peer traffic until ready holds. Batches are applied
+// during a wave's exchange; at a barrier they belong to the wave about
+// to start, so they are held until EndWave. Sentinels, done reports
+// (node 0) and go frames are counted or recorded for ready to inspect.
+func (n *node) await(ready func() bool) error {
+	for !ready() {
+		ev := <-n.events
+		if ev.err != nil {
+			return &NodeFailedError{Node: ev.from, Phase: phaseName(n.phase), Wave: n.wave, Err: ev.err}
+		}
+		// Node 0 may see a done report for the next barrier while it is
+		// still finishing a wave; every other frame is for this wave.
+		if ev.wave != n.wave && !(ev.kind == frameDone && ev.wave == n.wave+1) {
+			return fmt.Errorf("node %d sent a wave-%d frame during wave %d", ev.from, ev.wave, n.wave)
+		}
+		switch ev.kind {
+		case frameBatch:
+			if n.exchange {
+				n.applyBatch(ev.updates)
+			} else {
+				n.held = append(n.held, ev.updates)
+			}
+		case frameEOW:
+			n.eows++
+		case frameDone:
+			n.dones++
+			n.doneWork += ev.work
+		case frameGo:
+			n.next = ev.phase
+		}
+	}
+	return nil
 }
 
 func (n *node) applyBatch(updates []ra.Update) {
@@ -464,130 +509,12 @@ func (n *node) applyBatch(updates []ra.Update) {
 	}
 }
 
-// phase starts a new phase on this node; phaseFinish sets n.finished.
-func (n *node) phase(wave int, ph byte) error {
-	n.waveNow = wave
-	n.curPhase = ph
-	n.eows = 0
-	n.expanded = false
-	n.reported = false
-	n.work = 0
-	switch ph {
-	case phaseExpand:
-		// Entry of an expand wave is the one checkpoint-safe moment: all
-		// earlier waves are fully applied, this wave has not started, and
-		// its traffic (even the already-stashed part) will be regenerated
-		// by the re-run.
-		if n.ckptDir != "" && wave%n.ckptEvery == 0 {
-			if err := n.writeCheckpoint(wave); err != nil {
-				return err
-			}
-		}
-		n.w.BeginWave()
-		if pd := n.stash[wave]; pd != nil {
-			for _, b := range pd.batches {
-				n.applyBatch(b)
-			}
-			n.eows += pd.eows
-			delete(n.stash, wave)
-		}
-		expanded := uint64(0)
-		for {
-			k := n.w.Expand(256, func(owner int, u ra.Update) { n.buf.Add(owner, u) })
-			if k == 0 {
-				break
-			}
-			expanded += uint64(k)
-		}
-		n.buf.FlushAll()
-		// Sentinels: all wave-w batches to each peer precede this marker
-		// on the shared per-pair connection.
-		for j := range n.conns {
-			if j != n.id && n.conns[j] != nil {
-				n.sendFrame(j, encodeCtl(frameEOW, wave, 0, 0))
-			}
-		}
-		n.expanded = true
-		n.work = expanded
-		n.maybeReport()
-	case phaseLoops:
-		resolved := n.w.ResolveLoops()
-		n.expanded = true
-		n.work = resolved
-		n.eows = n.peers // no batches in this phase
-		n.maybeReport()
-	case phaseFinish:
-		// Announce the orderly shutdown before sockets start closing, so
-		// peers can tell this EOF from a crash.
-		for j := range n.conns {
-			if j != n.id && n.conns[j] != nil {
-				n.sendFrame(j, encodeCtl(frameBye, wave, 0, 0))
-			}
-		}
-		n.finished = true
-	default:
-		return fmt.Errorf("unknown phase %d", ph)
-	}
-	return nil
-}
-
-// maybeReport sends the done-report once this node has both finished its
-// own phase work and seen every peer's end-of-wave sentinel (so all
-// batches addressed to it have been applied).
-func (n *node) maybeReport() {
-	if n.reported || !n.expanded || n.eows < n.peers {
-		return
-	}
-	n.reported = true
-	n.sendDone(n.waveNow, n.work)
-}
-
-func (n *node) sendDone(wave int, work uint64) {
-	if n.id == 0 {
-		n.coordinatorDone(wave, work)
-		return
-	}
-	n.sendFrame(0, encodeCtl(frameDone, wave, 0, work))
-}
-
-// coordinatorDone runs on node 0.
-func (n *node) coordinatorDone(wave int, work uint64) {
-	if wave != n.waveNow && !(n.phaseNow == 0 && wave == n.startWave) {
-		// Done reports always follow the go that started their wave.
-		panic(fmt.Sprintf("remote: coordinator got done for wave %d in wave %d", wave, n.waveNow))
-	}
-	n.doneCount++
-	n.doneWork += work
-	if n.doneCount < n.peers+1 {
-		return
-	}
-	workSum := n.doneWork
-	n.doneCount, n.doneWork = 0, 0
-	var next byte
-	switch {
-	case n.phaseNow == 0:
-		next = phaseExpand
-	case n.phaseNow == phaseExpand && workSum > 0:
-		n.waves++
-		next = phaseExpand
-	case n.phaseNow == phaseExpand:
-		next = phaseLoops
-	case n.phaseNow == phaseLoops:
-		next = phaseFinish
-	default:
-		panic("remote: coordinator in unexpected phase")
-	}
-	n.phaseNow = next
-	nextWave := wave + 1
+// broadcast sends one control frame to every peer.
+func (n *node) broadcast(frame []byte) {
 	for j := range n.conns {
 		if j != n.id && n.conns[j] != nil {
-			n.sendFrame(j, encodeCtl(frameGo, nextWave, next, 0))
+			n.sendFrame(j, frame)
 		}
-	}
-	// The coordinator participates too: run its own phase directly (an
-	// event-channel self-send could deadlock when the channel is full).
-	if err := n.phase(nextWave, next); err != nil {
-		panic(err) // unknown phase from our own encoder: unreachable
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"retrograde/internal/awari"
 	"retrograde/internal/chess"
 	"retrograde/internal/game"
+	"retrograde/internal/kalah"
 	"retrograde/internal/ladder"
 	"retrograde/internal/nim"
 	"retrograde/internal/ra"
@@ -18,14 +19,25 @@ import (
 )
 
 // TestTCPMatchesSequential runs the TCP engine over real loopback sockets
-// and requires bit-identical databases with the sequential engine.
+// on the conformance games of ra's engine table and requires the database
+// the sequential engine produces, the scalar kernel named and a clean audit.
 func TestTCPMatchesSequential(t *testing.T) {
-	games := []game.Game{
+	kal, err := kalah.BuildLadder(4, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aw, err := ladder.Build(ladder.Config{Rules: awari.Standard, Loop: awari.LoopOwnSide}, 5, ra.Sequential{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []game.Game{
 		nim.MustNew(3, 4),
+		nim.MustNew(2, 7),
 		ttt.New(),
 		chess.MustNew(4),
-	}
-	for _, g := range games {
+		kal.Slice(4),
+		aw.Slice(5),
+	} {
 		want := ra.SolveSequential(g)
 		for _, cfg := range []Engine{
 			{Workers: 1},
@@ -33,22 +45,35 @@ func TestTCPMatchesSequential(t *testing.T) {
 			{Workers: 3, Batch: 64},
 			{Workers: 5, Group: 16},
 		} {
+			label := g.Name() + " " + cfg.Name()
 			got, err := cfg.Solve(g)
 			if err != nil {
-				t.Fatalf("%s %s: %v", g.Name(), cfg.Name(), err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			if got.Waves != want.Waves {
-				t.Errorf("%s %s: waves %d, want %d", g.Name(), cfg.Name(), got.Waves, want.Waves)
+			if len(got.Values) != len(want.Values) {
+				t.Fatalf("%s: length mismatch", label)
 			}
 			for i := range want.Values {
 				if got.Values[i] != want.Values[i] {
-					t.Fatalf("%s %s: values differ at %d", g.Name(), cfg.Name(), i)
+					t.Fatalf("%s: values differ at %d", label, i)
 				}
 			}
 			for i := range want.Loop {
 				if got.Loop[i] != want.Loop[i] {
-					t.Fatalf("%s %s: loop bitsets differ", g.Name(), cfg.Name())
+					t.Fatalf("%s: loop bitsets differ at word %d", label, i)
 				}
+			}
+			if got.Waves != want.Waves {
+				t.Errorf("%s: waves %d, want %d", label, got.Waves, want.Waves)
+			}
+			if got.LoopPositions != want.LoopPositions {
+				t.Errorf("%s: loop positions %d, want %d", label, got.LoopPositions, want.LoopPositions)
+			}
+			if got.Kernel != "scalar" {
+				t.Errorf("%s: kernel %q", label, got.Kernel)
+			}
+			if err := ra.Audit(g, got); err != nil {
+				t.Errorf("%s: audit: %v", label, err)
 			}
 		}
 	}

@@ -16,8 +16,8 @@
 //     goroutines with batched channel sends), Distributed (the paper's
 //     message-combining algorithm on a simulated 64-node Ethernet
 //     cluster, measured in deterministic virtual time), AsyncDistributed
-//     (barrier-free, Safra termination detection), TCP (real sockets)
-//     and Resumable (checkpoint/restart);
+//     (barrier-free, Safra termination detection) and TCP (real
+//     sockets, with checkpoint/restart);
 //   - bit-packed, checksummed database files;
 //   - the experiment harness that regenerates the paper's evaluation
 //     (see cmd/rabench and EXPERIMENTS.md).
@@ -113,9 +113,6 @@ type (
 	AsyncDistributed = ra.AsyncDistributed
 	// SimReport describes a Distributed run: virtual time and traffic.
 	SimReport = ra.SimReport
-	// Resumable is the sequential engine with periodic checkpoints and
-	// resume-from-file, for long builds.
-	Resumable = ra.Resumable
 	// TCP is the engine over real sockets: the deployable counterpart to
 	// the simulated Distributed engine.
 	TCP = remote.Engine
@@ -128,9 +125,6 @@ const (
 	CentralProtocol = ra.CentralProtocol
 	TreeProtocol    = ra.TreeProtocol
 )
-
-// ErrPaused is returned by Resumable.Solve when it stops at a checkpoint.
-var ErrPaused = ra.ErrPaused
 
 // Refine improves a finished database's cyclic positions to a fixpoint
 // where no player forgoes a strictly better move (see DESIGN.md); ladders
